@@ -10,8 +10,9 @@ Reporter::emit(const SourceFile &file, int line,
                const std::string &rule, drc::Severity severity,
                const std::string &message, const std::string &hint)
 {
-    if (file.suppressed(line, rule)) {
-        ++suppressed_;
+    const int allow = file.suppressedBy(line, rule);
+    if (allow >= 0) {
+        used_.emplace(file.path, allow);
         return false;
     }
     report_->add({rule, severity, format("%s:%d", file.path.c_str(), line),
@@ -20,12 +21,17 @@ Reporter::emit(const SourceFile &file, int line,
 }
 
 void
-Reporter::emitGlobal(const std::string &rule, drc::Severity severity,
-                     const std::string &path,
-                     const std::string &message,
-                     const std::string &hint)
+Reporter::reportStaleAllows(const Corpus &corpus)
 {
-    report_->add({rule, severity, path, message, hint});
+    for (const SourceFile &f : corpus.files())
+        for (std::size_t i = 0; i < f.allows.size(); ++i)
+            if (used_.count({f.path, static_cast<int>(i)}) == 0)
+                report_->add(
+                    {"ANALYZE-001", drc::Severity::Error,
+                     format("%s:%d", f.path.c_str(), f.allows[i].first),
+                     format("allow(%s) suppresses no finding",
+                            f.allows[i].second.c_str()),
+                     "delete the stale annotation"});
 }
 
 std::vector<RuleFamilyInfo>
@@ -48,6 +54,8 @@ ruleFamilies()
                   "pair up per file"},
         {"TEL", "telemetry hygiene: metric-name literals follow the "
                 "snake_case/dotted convention"},
+        {"ANALYZE", "analyzer hygiene: an allow(<rule>) annotation "
+                    "that suppresses no finding is an error"},
     };
 }
 
@@ -60,6 +68,7 @@ analyze(const Corpus &corpus)
     checkDeterminismRules(corpus, out);
     checkWireProtocolRules(corpus, out);
     checkTraceTelemetryRules(corpus, out);
+    out.reportStaleAllows(corpus);
     return report;
 }
 

@@ -7,18 +7,19 @@
  * the unchecked contracts the parallel engine and the byte-identical
  * determinism guarantee rest on. Findings reuse the DRC Diagnostic /
  * DrcReport machinery and renderers; `// harmonia-lint: allow(<rule>)`
- * on the offending line (or the line above) suppresses a finding.
+ * on the offending line (or the line above) suppresses a finding, and
+ * an annotation that suppresses nothing is itself an Error
+ * (ANALYZE-001), so stale ones cannot pile up.
  */
 
 #ifndef HARMONIA_ANALYSIS_ANALYZER_H_
 #define HARMONIA_ANALYSIS_ANALYZER_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/corpus.h"
-// harmonia-lint: allow(LAYER-002) — analysis deliberately reuses the
-// DRC diagnostics model; drc never includes analysis back.
 #include "drc/diagnostic.h"
 
 namespace harmonia {
@@ -42,17 +43,14 @@ class Reporter {
               const std::string &message,
               const std::string &hint = "");
 
-    /** Report a tree-level finding with no source anchor. */
-    void emitGlobal(const std::string &rule, drc::Severity severity,
-                    const std::string &path,
-                    const std::string &message,
-                    const std::string &hint = "");
-
-    std::size_t suppressedCount() const { return suppressed_; }
+    /** ANALYZE-001: report every allow() in @p corpus that silenced
+     *  no finding so far. Run after every rule family. */
+    void reportStaleAllows(const Corpus &corpus);
 
   private:
     drc::DrcReport *report_;
-    std::size_t suppressed_ = 0;
+    /** (file path, index into its allows) that silenced a finding. */
+    std::set<std::pair<std::string, int>> used_;
 };
 
 /** One static rule family (mirrors drc::Rule, but corpus-scoped). */

@@ -79,13 +79,19 @@ stripLine(const std::string &line, LexState &state,
         state = LexState::Code;
 }
 
-/** Collect allow(<rule>[, <rule>...]) suppressions on one raw line. */
+/**
+ * Collect allow(<rule>[, <rule>...]) suppressions on one raw line. The
+ * marker must sit in a comment (blanked in @p no_comment): one inside
+ * a string literal is code, not an annotation.
+ */
 void
-collectAllows(const std::string &raw, int line_no,
-              std::vector<std::pair<int, std::string>> *out)
+collectAllows(const std::string &raw, const std::string &no_comment,
+              int line_no, std::vector<std::pair<int, std::string>> *out)
 {
     static const std::string kMarker = "harmonia-lint:";
     std::size_t at = raw.find(kMarker);
+    while (at != std::string::npos && no_comment[at] != ' ')
+        at = raw.find(kMarker, at + 1);
     if (at == std::string::npos)
         return;
     at = raw.find("allow(", at);
@@ -102,7 +108,13 @@ collectAllows(const std::string &raw, int line_no,
         std::size_t e = rule.find_last_not_of(" \t");
         if (b == std::string::npos)
             continue;
-        out->emplace_back(line_no, rule.substr(b, e - b + 1));
+        rule = rule.substr(b, e - b + 1);
+        // Only rule ids like DET-001; prose quoting the syntax, as in
+        // "allow(<rule>)", annotates nothing.
+        if (std::isupper(static_cast<unsigned char>(rule[0])) &&
+            rule.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                   "0123456789-") == std::string::npos)
+            out->emplace_back(line_no, rule);
     }
 }
 
@@ -129,14 +141,16 @@ SourceFile::companionPath() const
     return "";
 }
 
-bool
-SourceFile::suppressed(int line, const std::string &rule) const
+int
+SourceFile::suppressedBy(int line, const std::string &rule) const
 {
-    for (const auto &a : allows)
-        if ((a.first == line || a.first + 1 == line) &&
-            a.second == rule)
-            return true;
-    return false;
+    // The annotated line's own allow first, so two annotated lines in
+    // a row each use their own.
+    for (const int at : {line, line - 1})
+        for (std::size_t i = 0; i < allows.size(); ++i)
+            if (allows[i].first == at && allows[i].second == rule)
+                return static_cast<int>(i);
+    return -1;
 }
 
 bool
@@ -160,9 +174,9 @@ loadSourceFile(const std::string &abs_path,
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
         ++line_no;
-        collectAllows(line, line_no, &out->allows);
         std::string no_comment, code;
         stripLine(line, state, &no_comment, &code);
+        collectAllows(line, no_comment, line_no, &out->allows);
         // #include "x/y.h": the target lives in a string literal, so
         // read it from the comment-stripped view.
         std::size_t at = no_comment.find("#include");

@@ -35,8 +35,9 @@ struct SourceFile {
 
     std::vector<IncludeDirective> includes;
 
-    /** allow(<rule>) suppressions, keyed by the 1-based line they
-     *  appear on. A suppression covers its own line and the next. */
+    /** allow(<rule>) suppressions found in comments, keyed by the
+     *  1-based line they appear on. A suppression covers its own line
+     *  and the next. */
     std::vector<std::pair<int, std::string>> allows;
 
     /** Top-level directory under src/ ("sim" for "src/sim/engine.cc");
@@ -46,8 +47,9 @@ struct SourceFile {
     /** Companion path: .h for a .cc and vice versa ("" if neither). */
     std::string companionPath() const;
 
-    /** Is a finding of @p rule on @p line (1-based) suppressed? */
-    bool suppressed(int line, const std::string &rule) const;
+    /** Index into allows of the suppression covering a finding of
+     *  @p rule on @p line (1-based); -1 when none does. */
+    int suppressedBy(int line, const std::string &rule) const;
 };
 
 /**

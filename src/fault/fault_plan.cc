@@ -1,5 +1,6 @@
 #include "fault/fault_plan.h"
 
+#include "common/fnv.h"
 #include "obs/flight_recorder.h"  // harmonia-lint: allow(LAYER-002) flight-recorder arm/notify hooks
 
 namespace harmonia {
@@ -35,19 +36,6 @@ double
 uniform01(std::uint64_t &s)
 {
     return static_cast<double>(xorshift64star(s) >> 11) * 0x1.0p-53;
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t
-fnvMix(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
 }
 
 } // namespace
@@ -95,7 +83,7 @@ toString(FaultKind kind)
 }
 
 FaultPlan::FaultPlan(std::uint64_t seed)
-    : seed_(seed), seedSequence_(seed), fingerprint_(kFnvOffset),
+    : seed_(seed), seedSequence_(seed), fingerprint_(kFnv1aOffset),
       stats_("fault_plan")
 {
 }
@@ -169,12 +157,9 @@ FaultPlan::record(FaultKind kind, const std::string &target, Tick now)
     ++total_;
     stats_.counter(std::string("injected_") + toString(kind)).inc();
     fingerprint_ =
-        fnvMix(fingerprint_, static_cast<std::uint64_t>(kind));
-    fingerprint_ = fnvMix(fingerprint_, now);
-    for (char c : target) {
-        fingerprint_ ^= static_cast<std::uint8_t>(c);
-        fingerprint_ *= kFnvPrime;
-    }
+        fnv1aValue(fingerprint_, static_cast<std::uint64_t>(kind));
+    fingerprint_ = fnv1aValue(fingerprint_, now);
+    fingerprint_ = fnv1aString(fingerprint_, target);
     if (log_.size() < kMaxLogEntries)
         log_.push_back(Event{kind, now, target});
     if (FlightRecorder *fdr = FlightRecorder::active())

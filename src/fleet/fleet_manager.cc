@@ -1,8 +1,8 @@
 #include "fleet/fleet_manager.h"
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "ha/blob_transfer.h"
 #include "obs/flight_recorder.h"
 #include "sim/clock.h"
 
@@ -227,37 +227,18 @@ FleetManager::placeAt(Tenant &tenant, std::size_t card_idx,
             return pr->slotState(slot) != PrSlotState::Reconfiguring;
         },
         cfg_.settleTimeout);
-    if (!settled || card.pr->slotState(slot) != PrSlotState::Active) {
+    const bool active =
+        settled && card.pr->slotState(slot) == PrSlotState::Active;
+    if (!active)
+        stats_.counter("load_failed").inc();
+    // Re-seed a displaced/migrating tenant: last checkpoint blob
+    // first, then the journal tail in issue order (at-least-once).
+    if (!active || !tenant.replica.reseed(
+                       *card.driver, static_cast<std::uint8_t>(slot))) {
         if (card.pr->slotState(slot) != PrSlotState::Empty)
             card.pr->unload(slot);
         role->unbind();
-        stats_.counter("load_failed").inc();
         return false;
-    }
-
-    // Re-seed a displaced/migrating tenant: last checkpoint blob
-    // first, then the journal tail in issue order (at-least-once).
-    if (!tenant.blob.empty() &&
-        !pushCheckpointBlob(*card.driver,
-                            static_cast<std::uint8_t>(slot),
-                            tenant.blob)) {
-        card.pr->unload(slot);
-        role->unbind();
-        stats_.counter("restore_failed").inc();
-        return false;
-    }
-    for (JournalEntry &entry : tenant.journal) {
-        const CallOutcome out = card.driver->callChecked(
-            kRoleRbbIdBase, static_cast<std::uint8_t>(slot),
-            entry.code, entry.data);
-        if (!out.ok() || out.response.status != kCmdOk) {
-            card.pr->unload(slot);
-            role->unbind();
-            stats_.counter("replay_failed").inc();
-            return false;
-        }
-        entry.acked = true;
-        stats_.counter("replayed_commands").inc();
     }
 
     tenant.role = std::move(role);
@@ -273,7 +254,6 @@ FleetManager::placeAt(Tenant &tenant, std::size_t card_idx,
     ++card.placementsDone;
     card.placementCyclesTotal +=
         static_cast<double>(lastPlacementCycles_);
-    ++placements_;
     stats_.counter("placements").inc();
     stats_.counter("placement_ticks").inc(ticks);
     if (hub_ != nullptr) {
@@ -326,10 +306,9 @@ FleetManager::admit(FleetRoleSpec spec)
         stats_.counter("priority_evictions").inc();
     }
 
-    Tenant &tenant = tenants_[spec.tenant];
+    Tenant &tenant = tenants_.try_emplace(spec.tenant, stats_).first->second;
     tenant.spec = std::move(spec);
-    tenant.blob.clear();
-    tenant.journal.clear();
+    tenant.replica.reset();
     if (!placeAt(tenant, cardIndex(decision.card), decision.slot)) {
         tenant.state = TenantState::Degraded;
         stats_.counter("tenants_degraded").inc();
@@ -348,8 +327,7 @@ FleetManager::evict(const std::string &tenant_name)
         return false;
     tearOut(tenant);
     tenant.state = TenantState::Evicted;
-    tenant.blob.clear();
-    tenant.journal.clear();
+    tenant.replica.reset();
     stats_.counter("evictions").inc();
     return true;
 }
@@ -371,7 +349,7 @@ FleetManager::migrate(const std::string &tenant_name,
     // (the card died under us) the last periodic checkpoint plus the
     // journal tail still covers every acked call.
     checkpointTenant(tenant_name);
-    if (tenant.blob.empty()) {
+    if (!tenant.replica.hasBlob()) {
         stats_.counter("migrate_refused").inc();
         return decision;
     }
@@ -399,7 +377,6 @@ FleetManager::migrate(const std::string &tenant_name,
     const Clock *clk = cards_[tenant.card].shell->kernelClock();
     lastMigrationCycles_ =
         clk != nullptr ? clk->ticksToCycles(downtime) : 0;
-    ++migrations_;
     stats_.counter("migrations").inc();
     stats_.counter("migration_downtime_ticks").inc(downtime);
     if (hub_ != nullptr)
@@ -422,19 +399,11 @@ FleetManager::call(const std::string &tenant_name, std::uint16_t code,
         stats_.counter("calls_refused").inc();
         return CallOutcome{};
     }
-    tenant.journal.push_back(JournalEntry{code, data, false});
+    const CallOutcome out = tenant.replica.call(
+        *cards_[tenant.card].driver,
+        static_cast<std::uint8_t>(tenant.slot), code, data);
     journalHighWater_ =
-        std::max(journalHighWater_, tenant.journal.size());
-    const CallOutcome out = cards_[tenant.card].driver->callChecked(
-        kRoleRbbIdBase, static_cast<std::uint8_t>(tenant.slot), code,
-        data);
-    if (out.ok() && out.response.status == kCmdOk) {
-        tenant.journal.back().acked = true;
-        ++acked_;
-        stats_.counter("acked_calls").inc();
-    } else {
-        stats_.counter("unacked_calls").inc();
-    }
+        std::max(journalHighWater_, tenant.replica.journalDepth());
     return out;
 }
 
@@ -447,19 +416,8 @@ FleetManager::checkpointTenant(const std::string &tenant_name)
     Card &card = cards_[tenant.card];
     if (card.dog->dead())
         return false;
-    std::vector<std::uint32_t> blob;
-    if (!fetchCheckpointBlob(*card.driver,
-                             static_cast<std::uint8_t>(tenant.slot),
-                             &blob)) {
-        stats_.counter("checkpoint_failures").inc();
-        return false;
-    }
-    tenant.blob = std::move(blob);
-    // Everything journaled so far is inside (or definitively rejected
-    // before) this cut; only later entries need replay.
-    tenant.journal.clear();
-    stats_.counter("checkpoints").inc();
-    return true;
+    return tenant.replica.checkpoint(
+        *card.driver, static_cast<std::uint8_t>(tenant.slot));
 }
 
 std::size_t
@@ -619,25 +577,18 @@ FleetManager::degradedCount() const
 std::size_t
 FleetManager::journalDepth(const std::string &tenant) const
 {
-    return tenantRef(tenant).journal.size();
+    return tenantRef(tenant).replica.journalDepth();
 }
 
 std::uint64_t
 FleetManager::fingerprint() const
 {
-    std::uint64_t hash = 14695981039346656037ULL;
-    const auto mixByte = [&hash](std::uint8_t b) {
-        hash ^= b;
-        hash *= 1099511628211ULL;
+    std::uint64_t hash = kFnv1aOffset;
+    const auto mixWord = [&hash](std::uint32_t w) {
+        hash = fnv1aWord(hash, w);
     };
-    const auto mixWord = [&mixByte](std::uint32_t w) {
-        for (unsigned b = 0; b < 4; ++b)
-            mixByte((w >> (8 * b)) & 0xff);
-    };
-    const auto mixString = [&mixByte](const std::string &s) {
-        for (const char c : s)
-            mixByte(static_cast<std::uint8_t>(c));
-        mixByte(0);
+    const auto mixString = [&hash](std::string_view s) {
+        hash = fnv1aByte(fnv1aString(hash, s), 0);
     };
     for (const auto &[name, tenant] : tenants_) {
         mixString(name);
@@ -652,7 +603,7 @@ FleetManager::fingerprint() const
     }
     for (const Card &card : cards_) {
         mixString(card.name);
-        mixByte(card.dog->dead() ? 1 : 0);
+        hash = fnv1aByte(hash, card.dog->dead() ? 1 : 0);
         for (std::size_t s = 0; s < card.pr->slotCount(); ++s)
             mixString(toString(card.pr->slotState(s)));
     }

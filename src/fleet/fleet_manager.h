@@ -6,12 +6,12 @@
  * driver and a watchdog — and schedules tenant roles onto them.
  * Placement decisions come from the stateless PlacementEngine over a
  * snapshot of live card state; role swaps ride the existing PR
- * controller under live traffic; live cross-vendor migration and
- * death displacement reuse the HA plane's checkpoint wire transfer
- * (drain → checkpoint → place → restore → cutover) with journal-tail
- * replay, so an acknowledged command is never lost: it is either
- * inside the last drained blob or replayed from the journal on the
- * new card.
+ * controller under live traffic; every tenant's state lives in an HA
+ * plane RoleReplica, so live cross-vendor migration and death
+ * displacement (drain → checkpoint → place → restore → cutover) run
+ * the same journal-tail replay as failover, and an acknowledged
+ * command is never lost: it is either inside the last drained blob or
+ * replayed from the journal on the new card.
  *
  * Determinism: cards are visited in creation order and tenants in
  * name order (std::map); every latency is simulated time; the only
@@ -28,8 +28,9 @@
 #include <memory>
 
 #include "fleet/placement.h"
-#include "ha/watchdog.h"  // harmonia-lint: allow(LAYER-002) fleet schedules over the HA plane
-#include "obs/hub.h"      // harmonia-lint: allow(LAYER-002) hub series feed the scheduler
+#include "ha/replica.h"
+#include "ha/watchdog.h"
+#include "obs/hub.h"
 #include "shell/partial_reconfig.h"
 
 namespace harmonia {
@@ -171,10 +172,10 @@ class FleetManager {
     std::size_t journalHighWater() const { return journalHighWater_; }
 
     /** Acked journaled calls, lifetime. */
-    std::uint64_t ackedCalls() const { return acked_; }
+    std::uint64_t ackedCalls() const { return stats_.value("acked_calls"); }
 
-    std::uint64_t placements() const { return placements_; }
-    std::uint64_t migrations() const { return migrations_; }
+    std::uint64_t placements() const { return stats_.value("placements"); }
+    std::uint64_t migrations() const { return stats_.value("migrations"); }
 
     /** Latency of the most recent successful placement. */
     Cycles lastPlacementCycles() const { return lastPlacementCycles_; }
@@ -209,20 +210,15 @@ class FleetManager {
         double placementCyclesTotal = 0.0;
     };
 
-    struct JournalEntry {
-        std::uint16_t code = 0;
-        std::vector<std::uint32_t> data;
-        bool acked = false;
-    };
-
     struct Tenant {
+        explicit Tenant(StatGroup &stats) : replica(stats) {}
+
         FleetRoleSpec spec;
         TenantState state = TenantState::Evicted;
         std::size_t card = 0;
         std::size_t slot = 0;
         std::unique_ptr<Role> role;
-        std::vector<std::uint32_t> blob;
-        std::vector<JournalEntry> journal;
+        RoleReplica replica;  ///< last blob + journal tail
     };
 
     std::vector<PlacementCardView>
@@ -255,9 +251,6 @@ class FleetManager {
     ObsHub *hub_ = nullptr;
     Tick lastCheckpointAt_ = 0;
     bool everCheckpointed_ = false;
-    std::uint64_t acked_ = 0;
-    std::uint64_t placements_ = 0;
-    std::uint64_t migrations_ = 0;
     Cycles lastPlacementCycles_ = 0;
     Cycles lastMigrationCycles_ = 0;
     std::size_t journalHighWater_ = 0;

@@ -1,7 +1,7 @@
 #include "ha/failover.h"
 
+#include "common/fnv.h"
 #include "common/logging.h"
-#include "ha/blob_transfer.h"
 #include "obs/flight_recorder.h"
 #include "sim/clock.h"
 
@@ -39,27 +39,20 @@ FailoverCoordinator::manageRole(Role &primary_role, Role &standby_role)
         if (p.slot == primary_role.slot())
             fatal("manageRole: slot %u is already managed",
                   primary_role.slot());
-    pairs_.push_back(
-        Pair{&primary_role, &standby_role, primary_role.slot(), {}});
+    pairs_.push_back(Pair{&primary_role, &standby_role,
+                          primary_role.slot(), RoleReplica(stats_)});
 }
 
 CallOutcome
 FailoverCoordinator::call(std::uint8_t slot, std::uint16_t code,
                           const std::vector<std::uint32_t> &data)
 {
-    journal_.push_back(JournalEntry{slot, code, data, false});
-    CmdDriver &driver =
-        failedOver_ ? standbyDriver_ : primaryDriver_;
-    const CallOutcome out =
-        driver.callChecked(kRoleRbbIdBase, slot, code, data);
-    if (out.ok() && out.response.status == kCmdOk) {
-        journal_.back().acked = true;
-        ++acked_;
-        stats_.counter("acked_calls").inc();
-    } else {
-        stats_.counter("unacked_calls").inc();
-    }
-    return out;
+    for (Pair &p : pairs_)
+        if (p.slot == slot)
+            return p.replica.call(
+                failedOver_ ? standbyDriver_ : primaryDriver_, slot,
+                code, data);
+    fatal("call: slot %u is not managed", slot);
 }
 
 bool
@@ -67,22 +60,15 @@ FailoverCoordinator::checkpointNow()
 {
     if (failedOver_)
         return false;
-    // All-or-nothing: drain into a scratch set, commit only when
-    // every managed role delivered, so blobs + mark stay a
-    // consistent cut.
+    // All-or-nothing: drain every role first, commit only when all
+    // delivered, so blobs + journal marks stay a consistent cut.
     std::vector<std::vector<std::uint32_t>> drained(pairs_.size());
-    for (std::size_t i = 0; i < pairs_.size(); ++i) {
-        if (!fetchCheckpointBlob(primaryDriver_, pairs_[i].slot,
-                                 &drained[i])) {
-            stats_.counter("checkpoint_failures").inc();
-            return false;
-        }
-    }
     for (std::size_t i = 0; i < pairs_.size(); ++i)
-        pairs_[i].blob = std::move(drained[i]);
-    // Everything journaled so far is covered by (or definitively
-    // rejected before) this cut; only later entries need replay.
-    journal_.clear();
+        if (!pairs_[i].replica.drain(primaryDriver_, pairs_[i].slot,
+                                     &drained[i]))
+            return false;
+    for (std::size_t i = 0; i < pairs_.size(); ++i)
+        pairs_[i].replica.commit(std::move(drained[i]));
     lastCheckpointAt_ = engine_.now();
     everCheckpointed_ = true;
     stats_.counter("checkpoints").inc();
@@ -105,27 +91,9 @@ FailoverCoordinator::failover()
     // card before role state lands on it.
     standbyDriver_.initializeAll();
 
-    for (Pair &p : pairs_) {
-        if (p.blob.empty())
-            continue;  // never checkpointed: replay rebuilds from 0
-        if (!pushCheckpointBlob(standbyDriver_, p.slot, p.blob)) {
-            stats_.counter("restore_failures").inc();
+    for (Pair &p : pairs_)
+        if (!p.replica.reseed(standbyDriver_, p.slot))
             return false;
-        }
-    }
-
-    // Replay the journal tail in issue order, acked or not:
-    // at-least-once delivery closes the two-generals window.
-    for (JournalEntry &e : journal_) {
-        const CallOutcome out = standbyDriver_.callChecked(
-            kRoleRbbIdBase, e.slot, e.code, e.data);
-        if (!out.ok() || out.response.status != kCmdOk) {
-            stats_.counter("replay_failures").inc();
-            return false;
-        }
-        e.acked = true;
-        stats_.counter("replayed_commands").inc();
-    }
 
     failedOver_ = true;
     watchdog_ =
@@ -172,17 +140,11 @@ FailoverCoordinator::downtimeCycles() const
 std::uint64_t
 FailoverCoordinator::fingerprint() const
 {
-    std::uint64_t hash = 14695981039346656037ULL;
-    const auto mix = [&hash](std::uint32_t w) {
-        for (unsigned b = 0; b < 4; ++b) {
-            hash ^= (w >> (8 * b)) & 0xff;
-            hash *= 1099511628211ULL;
-        }
-    };
+    std::uint64_t hash = kFnv1aOffset;
     for (const Pair &p : pairs_) {
         const Role *role = failedOver_ ? p.standby : p.primary;
         for (const std::uint32_t w : role->snapshot())
-            mix(w);
+            hash = fnv1aWord(hash, w);
     }
     return hash;
 }

@@ -5,16 +5,9 @@
  * Application commands go through the coordinator's journaled call()
  * proxy; the coordinator periodically drains checkpoint blobs off the
  * primary over the wire, and when its watchdog declares the primary
- * dead it re-seeds the standby from the last checkpoint and replays
- * the journal tail — every entry at or after the checkpoint mark,
- * acked or not, in order.
- *
- * Zero acknowledged-command loss (DESIGN.md §14): an acked call is
- * either covered by the checkpoint (it completed before the blob was
- * drained, so its effect is inside the blob) or sits at-or-after the
- * mark and is replayed onto the standby. Unacked calls in the
- * two-generals window (executed, ack lost) are replayed too —
- * at-least-once, never at-most-once.
+ * dead it re-seeds the standby from each pair's RoleReplica: the
+ * last checkpoint, then the journal tail, acked or not, in order —
+ * zero acknowledged-command loss (DESIGN.md §14).
  */
 
 #ifndef HARMONIA_HA_FAILOVER_H_
@@ -22,6 +15,7 @@
 
 #include <memory>
 
+#include "ha/replica.h"
 #include "ha/watchdog.h"
 #include "roles/role.h"
 
@@ -48,8 +42,8 @@ class FailoverCoordinator {
 
     /**
      * Journaled command proxy: issue @p code to the managed role in
-     * @p slot on the currently-active shell, recording the call so a
-     * later failover can replay it.
+     * @p slot (fatal when none is) on the currently-active shell,
+     * through the pair's replica so a later failover can replay it.
      */
     CallOutcome call(std::uint8_t slot, std::uint16_t code,
                      const std::vector<std::uint32_t> &data = {});
@@ -82,7 +76,7 @@ class FailoverCoordinator {
     Watchdog &watchdog() { return *watchdog_; }
 
     /** Calls whose kernel ack reached the host, lifetime total. */
-    std::uint64_t ackedCalls() const { return acked_; }
+    std::uint64_t ackedCalls() const { return stats_.value("acked_calls"); }
 
     /**
      * Downtime of the last failover: from the primary's last
@@ -105,14 +99,7 @@ class FailoverCoordinator {
         Role *primary = nullptr;
         Role *standby = nullptr;
         std::uint8_t slot = 0;
-        std::vector<std::uint32_t> blob;  ///< last drained checkpoint
-    };
-
-    struct JournalEntry {
-        std::uint8_t slot = 0;
-        std::uint16_t code = 0;
-        std::vector<std::uint32_t> data;
-        bool acked = false;
+        RoleReplica replica;
     };
 
     Engine &engine_;
@@ -123,8 +110,6 @@ class FailoverCoordinator {
     CmdDriver standbyDriver_;
     std::unique_ptr<Watchdog> watchdog_;
     std::vector<Pair> pairs_;
-    std::vector<JournalEntry> journal_;
-    std::uint64_t acked_ = 0;
     Tick lastCheckpointAt_ = 0;
     bool everCheckpointed_ = false;
     bool failedOver_ = false;

@@ -70,8 +70,19 @@ CmdDriver::attemptOnce(const CommandPacket &pkt, Tick timeout,
     if (transport_ == CmdTransport::I2c) {
         ++commands_;
     } else if (shell_.hasHost()) {
-        shell_.host().submitControl(
-            static_cast<std::uint32_t>(bytes.size()), ++commands_);
+        // Retire this driver's surfaced control completions first, so
+        // the host RBB's completion queue does not grow per command.
+        // One whose turn has passed but is gone was taken by a HostDma.
+        HostRbb &host = shell_.host();
+        while (!controlPending_.empty() &&
+               controlPending_.front().first < host.controlSurfaced()) {
+            host.retireControl(controlPending_.front().second);
+            controlPending_.pop_front();
+        }
+        const std::uint64_t index = host.controlSubmitted();
+        if (host.submitControl(static_cast<std::uint32_t>(bytes.size()),
+                               ++commands_))
+            controlPending_.emplace_back(index, commands_);
     } else {
         ++commands_;
     }

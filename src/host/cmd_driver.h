@@ -15,6 +15,7 @@
 #ifndef HARMONIA_HOST_CMD_DRIVER_H_
 #define HARMONIA_HOST_CMD_DRIVER_H_
 
+#include <deque>
 #include <vector>
 
 #include "shell/unified_shell.h"
@@ -136,6 +137,9 @@ class CmdDriver {
     CmdTransport transport_;
     RetryPolicy policy_;
     std::size_t commands_ = 0;
+    /** Control transfers posted, not yet retired: (host submission
+     *  index, id). */
+    std::deque<std::pair<std::uint64_t, std::uint64_t>> controlPending_;
     Tick lastLatency_ = 0;
     Histogram roundTrip_;
     StatGroup stats_;

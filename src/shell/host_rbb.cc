@@ -159,7 +159,22 @@ HostRbb::submitControl(std::uint32_t bytes, std::uint64_t id)
     req.issued = now();
     req.id = id;
     req.control = true;
-    return dma_->post(req);
+    if (!dma_->post(req))
+        return false;
+    ++controlSubmitted_;
+    return true;
+}
+
+bool
+HostRbb::retireControl(std::uint64_t id)
+{
+    for (auto it = out_.begin(); it != out_.end(); ++it) {
+        if (it->request.control && it->request.id == id) {
+            out_.erase(it);
+            return true;
+        }
+    }
+    return false;
 }
 
 DmaCompletion
@@ -203,6 +218,8 @@ HostRbb::tick()
         DmaCompletion c = dma_->popCompletion();
         monitor().counter("completed").inc();
         monitor().counter("bytes").inc(c.request.bytes);
+        if (c.request.control)
+            ++controlSurfaced_;
         out_.push_back(c);
     }
 }
@@ -261,6 +278,7 @@ HostRbb::onReset()
     }
     out_.clear();
     queuesConfigured_ = 0;
+    controlSurfaced_ = controlSubmitted_;
 }
 
 } // namespace harmonia

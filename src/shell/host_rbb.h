@@ -71,6 +71,16 @@ class HostRbb : public Rbb {
     /** Inject control-channel traffic (the command transport). */
     bool submitControl(std::uint32_t bytes, std::uint64_t id);
 
+    /** Control transfers accepted / surfaced into the completion
+     *  queue. They surface in order: submission n has once
+     *  controlSurfaced() > n (a reset drops those in flight). */
+    std::uint64_t controlSubmitted() const { return controlSubmitted_; }
+    std::uint64_t controlSurfaced() const { return controlSurfaced_; }
+
+    /** Drop the queued control completion for @p id; O(1) when it is
+     *  the oldest. False when a consumer already popped it. */
+    bool retireControl(std::uint64_t id);
+
     void tick() override;
 
     /** Nothing staged for the scheduler and no engine completion to
@@ -111,6 +121,8 @@ class HostRbb : public Rbb {
     ActiveListArbiter arbiter_;
     std::deque<DmaCompletion> out_;
     std::size_t queuesConfigured_ = 0;
+    std::uint64_t controlSubmitted_ = 0;
+    std::uint64_t controlSurfaced_ = 0;
 };
 
 } // namespace harmonia

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fnv.h"
 #include "obs/flight_recorder.h"  // harmonia-lint: allow(LAYER-002) snapshots ride the command plane
 #include "obs/slo.h"  // harmonia-lint: allow(LAYER-002) snapshots ride the command plane
 #include "telemetry/profiler.h"
@@ -75,16 +76,10 @@ flattenValues(const MetricsRegistry &registry,
 std::uint64_t
 mapHash(const std::vector<FlatSample> &flat)
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    const auto mix = [&h](std::uint8_t byte) {
-        h ^= byte;
-        h *= 1099511628211ULL;
-    };
+    std::uint64_t h = kFnv1aOffset;
     for (const FlatSample &f : flat) {
-        for (char c : f.entry.name)
-            mix(static_cast<std::uint8_t>(c));
-        mix(0);
-        mix(static_cast<std::uint8_t>(f.entry.enc));
+        h = fnv1aByte(fnv1aString(h, f.entry.name), 0);
+        h = fnv1aByte(h, static_cast<std::uint8_t>(f.entry.enc));
     }
     return h;
 }

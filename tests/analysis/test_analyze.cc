@@ -39,7 +39,7 @@ TEST(Analyze, FixtureTripsEveryRuleFamily)
     for (const char *rule :
          {"LAYER-001", "LAYER-002", "LAYER-003", "DET-001", "DET-002",
           "DET-003", "CMD-W1", "CMD-W2", "TRACE-001", "TRACE-002",
-          "TEL-001"})
+          "TEL-001", "ANALYZE-001"})
         EXPECT_TRUE(report.hasRule(rule)) << rule;
 }
 
@@ -52,6 +52,19 @@ TEST(Analyze, SuppressionSilencesAnnotatedLine)
     for (const drc::Diagnostic &d : report.byRule("DET-001"))
         EXPECT_EQ(d.path.find("suppressed"), std::string::npos)
             << d.toString();
+}
+
+TEST(Analyze, StaleAllowIsAnError)
+{
+    const drc::DrcReport report = analysis::analyzeTree(kBadRepo);
+    // stale_allow.h: one comment allow() over a line with nothing to
+    // silence, and one inside a string literal, which is no
+    // annotation at all. The used allow in suppressed.h stays quiet.
+    const auto stale = report.byRule("ANALYZE-001");
+    ASSERT_EQ(stale.size(), 1u);
+    EXPECT_EQ(stale[0].severity, drc::Severity::Error);
+    EXPECT_EQ(stale[0].path, "src/sim/stale_allow.h:9");
+    EXPECT_NE(stale[0].message.find("DET-001"), std::string::npos);
 }
 
 TEST(Analyze, MissingRootReportsAnalyze000)

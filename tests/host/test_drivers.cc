@@ -77,6 +77,29 @@ TEST(CmdDriver, CallRoundTripsThroughKernel)
     EXPECT_EQ(driver.commandCount(), 1u);
 }
 
+TEST(CmdDriver, RetiresItsControlCompletions)
+{
+    // Every attempt posts a control-channel DMA; a shell driven only
+    // by a CmdDriver must not accumulate their completions.
+    Engine engine;
+    MetricsRegistry reg;  // outlives the shell's registrations
+    auto shell = Shell::makeUnified(engine, device("DeviceA"));
+    shell->registerTelemetry(reg);
+    CmdDriver driver(engine, *shell);
+    for (int i = 0; i < 10'000; ++i)
+        ASSERT_TRUE(
+            driver.callChecked(kRbbSystem, 0, kCmdTimeCount).ok());
+
+    const std::string gauge =
+        shell->name() + "/host0/completions_pending";
+    double pending = -1.0;
+    for (const MetricSample &m : reg.snapshot())
+        if (m.name == gauge)
+            pending = m.value;
+    EXPECT_GE(pending, 0.0) << gauge << " not registered";
+    EXPECT_LE(pending, 2.0);
+}
+
 TEST(CmdDriver, InitializeAllUsesFewCommands)
 {
     Engine engine;

@@ -111,6 +111,29 @@ TEST(HostRbb, ControlChannelPassThrough)
     EXPECT_TRUE(b.rbb.popCompletion().request.control);
 }
 
+TEST(HostRbb, RetireControlLeavesDataCompletions)
+{
+    HostBench b;
+    b.rbb.setQueueActive(3, true);
+    ASSERT_TRUE(b.rbb.submit(DmaDir::H2C, 3, 256, 9));
+    ASSERT_TRUE(b.rbb.submitControl(64, 9));
+    EXPECT_EQ(b.rbb.controlSubmitted(), 1u);
+    ASSERT_TRUE(b.engine.runUntilDone(
+        [&] { return b.rbb.controlSurfaced() == 1; }, 100'000'000));
+    ASSERT_TRUE(b.engine.runUntilDone(
+        [&] { return b.rbb.queueDepth(3) == 0; }, 100'000'000));
+    b.engine.runFor(10'000'000);
+
+    // Same id on both: only the control completion is retired.
+    EXPECT_TRUE(b.rbb.retireControl(9));
+    EXPECT_FALSE(b.rbb.retireControl(9));
+    ASSERT_TRUE(b.rbb.hasCompletion());
+    const DmaCompletion c = b.rbb.popCompletion();
+    EXPECT_FALSE(c.request.control);
+    EXPECT_EQ(c.request.id, 9u);
+    EXPECT_FALSE(b.rbb.hasCompletion());
+}
+
 TEST(HostRbb, QueueConfigCommandActivatesRanges)
 {
     HostBench b;
